@@ -21,6 +21,13 @@ struct density_row {
     long double address_density = 0;       ///< covered / possible
 };
 
+/// The row of class n@/p with `dense_prefix_count` dense prefixes covering
+/// `covered_addresses` observed addresses; derives the possible-address
+/// and density fields. Every density path builds its rows with this.
+density_row make_density_row(std::uint64_t n, unsigned p,
+                             std::uint64_t dense_prefix_count,
+                             std::uint64_t covered_addresses);
+
 /// Evaluates the class n@/p over a tree built from the dataset's distinct
 /// addresses (each added once at /128).
 density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p);

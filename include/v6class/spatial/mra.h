@@ -27,6 +27,12 @@ public:
     explicit mra_series(std::array<std::uint64_t, 129> counts) noexcept
         : counts_(counts) {}
 
+    /// Counts of a distinct address set from the histogram of its sorted
+    /// neighbours' common-prefix lengths (hist[c] = adjacent pairs with
+    /// cpl c): n_p = 1 + #{pairs with cpl < p}, or all 0 when `empty`.
+    static mra_series from_cpl_histogram(const std::array<std::uint64_t, 129>& hist,
+                                         bool empty) noexcept;
+
     /// n_p: the number of /p prefixes covering the address set.
     std::uint64_t aggregate_count(unsigned p) const noexcept { return counts_[p]; }
 

@@ -17,7 +17,10 @@
 // a whole number of days — never a half-rolled one. Per-address answers
 // (distinct counts, spectra, stability) merge exactly across shards
 // because the shards partition the address space; prefix-density and
-// MRA answers are computed from a merged tree built under the lock.
+// MRA answers come from one engine-level lifetime spatial summary, which
+// the roll thread folds forward with each seal's first-seen addresses
+// inside the exclusive section (cost: the day's new addresses, not the
+// lifetime set).
 #pragma once
 
 #include <condition_variable>
@@ -42,6 +45,7 @@
 #include "v6class/simd/address_block.h"
 #include "v6class/spatial/density.h"
 #include "v6class/spatial/mra.h"
+#include "v6class/spatial/summary.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/record.h"
 #include "v6class/stream/shard.h"
@@ -160,10 +164,11 @@ struct day_report {
     double stable_fraction = 0;  ///< stable / active (0 when no active)
     double est_day_addresses = 0, est_day_48s = 0, est_day_64s = 0;
 
-    // Introspection sampled at this seal: the merged trie's arena
-    // occupancy (live node slots, free-listed slots) and the v6::par
-    // pool's seat utilization over the interval since the previous
-    // seal (0..1, 0 while the pool sat idle).
+    // Introspection sampled at this seal. arena_nodes / arena_free are
+    // always 0: the engine builds no trie any more (they once reported
+    // the merged trie's arena) and stay only for source compatibility.
+    // pool_utilization is the v6::par pool's seat utilization over the
+    // interval since the previous seal (0..1, 0 while the pool sat idle).
     std::uint64_t arena_nodes = 0;
     std::uint64_t arena_free = 0;
     double pool_utilization = 0;
@@ -265,7 +270,9 @@ public:
     /// Lifetime spectrum (span >= n) over all sealed days.
     std::vector<std::uint64_t> stability_spectrum(unsigned max_n) const;
 
-    /// Table-3 rows over the distinct addresses of all sealed days.
+    /// Table-3 rows over the distinct addresses of all sealed days. The
+    /// configured classes are read off the folded summary; any other
+    /// class costs one sweep of the lifetime set.
     std::vector<density_row> density_table(
         const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const;
 
@@ -316,7 +323,6 @@ private:
     void flush_shard_locked(unsigned shard);   // push_mutex_ held
     void broadcast_seal_locked(int day);       // push_mutex_ held
     day_report build_report(int day) const;    // takes state_mutex_ shared
-    radix_tree merged_tree_locked() const;     // state_mutex_ held (any mode)
     void init_metrics();
     void init_live();
 
@@ -339,9 +345,6 @@ private:
         std::vector<obs::gauge> queue_depth;       // one per shard
         std::vector<obs::gauge> queue_high_water;  // one per shard
         obs::histogram seal_latency, report_build;
-        // Introspection gauges, refreshed per seal: merged-trie arena
-        // occupancy/free-list and process RSS.
-        obs::gauge arena_live, arena_free;
     };
 
     stream_config cfg_;
@@ -385,7 +388,10 @@ private:
     obs::p2_quantile p2_snap_p50_{0.5}, p2_snap_p99_{0.99};
 
     /// One live derived series: the registry gauge, the dashboard's
-    /// ring history, and its drift detector. All guarded by live_mutex_
+    /// ring history, and — for classification series only — its drift
+    /// detector. Timing series (pool utilization, ingest IPC) move with
+    /// wall-clock scheduling, not with addressing practice, so they keep
+    /// history and sparkline but never alarm. All guarded by live_mutex_
     /// (written once per seal by the roll thread, read by /dashboard).
     struct live_series {
         std::string name;
@@ -394,16 +400,16 @@ private:
         std::string label;   ///< tsdb label ("" or the class label value)
         obs::dgauge gauge;
         obs::ring_history history;
-        obs::ewma_detector detector;
+        std::optional<obs::ewma_detector> detector;
         bool alarmed = false;
         std::uint32_t tsdb_id = 0;
         /// Newest day already in the store at construction; seals at or
         /// before it are not re-appended (restart re-anchor).
         std::int64_t anchor = std::numeric_limits<std::int64_t>::min();
         live_series(std::string n, std::string h, obs::dgauge g,
-                    std::size_t capacity, const obs::drift_options& opt)
+                    std::size_t capacity, std::optional<obs::ewma_detector> d)
             : name(std::move(n)), help(std::move(h)), gauge(g),
-              history(capacity), detector(opt) {}
+              history(capacity), detector(std::move(d)) {}
     };
     mutable std::mutex live_mutex_;
     std::vector<live_series> live_;
@@ -413,7 +419,7 @@ private:
     std::size_t li_hits_p50_ = 0, li_hits_p99_ = 0;
     std::size_t li_dense_first_ = 0;   // one per cfg_.density_classes entry
     std::size_t li_est_first_ = 0;     // addrs, /48s, /64s (sketches on)
-    std::size_t li_pool_util_ = 0, li_arena_nodes_ = 0;
+    std::size_t li_pool_util_ = 0;
     // SIZE_MAX = not registered (no hardware PMU on this machine).
     std::size_t li_pmu_ipc_ = SIZE_MAX;
     obs::counter drift_events_;
@@ -450,13 +456,14 @@ private:
     bool stopping_ = false;
 
     // Sealed state: written only by the roll thread (exclusive), read by
-    // every query (shared). The projected store lives here rather than
-    // per shard: sharding partitions /128s, so addresses of one
-    // projected prefix land in different shards and per-shard projected
-    // counts would double-count.
+    // every query (shared). The projected store and the spatial summary
+    // live here rather than per shard: sharding partitions /128s, so
+    // addresses of one projected prefix (or density block) land in
+    // different shards and per-shard counts would double-count.
     mutable std::shared_mutex state_mutex_;
     int sealed_day_ = kNoDay;
     observation_store projected_store_;
+    spatial_summary summary_;
 
     // Emitted reports.
     mutable std::mutex reports_mutex_;

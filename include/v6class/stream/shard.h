@@ -5,9 +5,10 @@
 // what makes the per-address analyses (distinct counts, stability,
 // lifetime spectra) exactly mergeable: summing per-shard answers equals
 // the unsharded answer. Anything keyed by a *coarser* unit straddles
-// shards — prefix density and MRA are answered from a merged tree, and
-// the projected (/64) observation store lives in the engine, fed at
-// seal time — because two addresses of one /64 routinely hash to
+// shards — prefix density and MRA come from the engine's lifetime
+// spatial summary, folded from every shard's first-seen addresses at
+// seal time, and the projected (/64) observation store lives in the
+// engine too — because two addresses of one /64 routinely hash to
 // different shards, so per-shard projected counts would double-count.
 //
 // Concurrency contract (enforced by stream_engine, not by this class):
@@ -23,7 +24,6 @@
 #include "v6class/temporal/daily_series.h"
 #include "v6class/temporal/observation_store.h"
 #include "v6class/temporal/stability.h"
-#include "v6class/trie/radix_tree.h"
 
 namespace v6 {
 
@@ -39,9 +39,10 @@ public:
     }
 
     /// Seals `day`: folds everything staged since the last seal into the
-    /// observation stores, the daily series, and the distinct-address
-    /// trie. Staged records all belong to `day` (the engine broadcasts a
-    /// seal marker before any newer-day record is enqueued).
+    /// observation store and the daily series, and sets fresh() to the
+    /// day's first-ever sightings. Staged records all belong to `day`
+    /// (the engine broadcasts a seal marker before any newer-day record
+    /// is enqueued).
     void seal_day(int day);
 
     // ----- sealed-state queries (epoch-consistent under the engine) ----
@@ -63,12 +64,9 @@ public:
         return store128_.stability_spectrum(max_n);
     }
 
-    /// Adds this shard's distinct /128s into `out` (one add() each), for
-    /// the engine's merged density/MRA tree.
-    void merge_tree_into(radix_tree& out) const;
-
-    /// Appends this shard's distinct addresses (unsorted) to `out`.
-    void collect_addresses(std::vector<address>& out) const;
+    /// Addresses first seen on the last sealed day, sorted: what the
+    /// engine folds into its lifetime spatial summary.
+    const std::vector<address>& fresh() const noexcept { return fresh_; }
 
 private:
     std::vector<address> pending_;      // staged records of the open day
@@ -76,7 +74,7 @@ private:
 
     daily_series series_;               // per-day active sets (sealed days)
     observation_store store128_;        // lifetime state at /128
-    radix_tree tree_;                   // distinct /128s, for density/MRA merges
+    std::vector<address> fresh_;        // first-seen addresses of the last seal
     std::uint64_t hits_ = 0;
 };
 

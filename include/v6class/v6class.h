@@ -46,6 +46,7 @@
 #include "v6class/spatial/mra_plot.h"
 #include "v6class/spatial/population.h"
 #include "v6class/spatial/spatial_class.h"
+#include "v6class/spatial/summary.h"
 
 // Synthetic substrate (simulation of the paper's proprietary datasets).
 #include "v6class/cdnsim/corpus.h"

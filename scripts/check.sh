@@ -518,6 +518,20 @@ EOF
         grep -q 'aggregated .* frames (0 rejected)' "${smoke}/agg.err"
         rm -rf "${smoke}"
         echo "federation smoke passed"
+
+        # Replay benchmark correctness: the benchmark's own unit tests,
+        # then one short replay of each workload. run.py checks every
+        # feed total, day report and query round against the batch
+        # pipeline (70 days on backfill_long, past the 64-day inline
+        # span), so this gates on the exit code only — the timings of
+        # a one-second run are not compared.
+        echo "=== replay bench: unit tests + one correctness replay per workload ==="
+        python3 -m unittest discover -s replaybench -p 'test_*.py'
+        for workload in backfill_long burst_day; do
+            python3 replaybench/run.py --workload "${workload}" --seed 1 \
+                --seconds 1 --trace 0
+        done
+        echo "replay bench correctness passed"
     fi
 done
 

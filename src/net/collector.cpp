@@ -101,8 +101,11 @@ void ingest_block(stream_engine& engine, const simd::record_block& block,
             if (!merged) agg.push_back({block.day[i], info, 1, block.hits[i]});
         }
     }
-    engine.push_block(block);
+    // Ledger first: pushing a record of a new day seals the previous
+    // one, and a consumer that drains a day's ASN rows as soon as its
+    // report returns must find every row of that day already noted.
     if (!agg.empty()) ledger->note_many(agg.data(), agg.size());
+    engine.push_block(block);
 }
 
 udp_collector::udp_collector(stream_engine& engine, collector_config cfg,

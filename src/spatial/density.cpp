@@ -8,13 +8,14 @@
 
 namespace v6 {
 
-density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p) {
+density_row make_density_row(std::uint64_t n, unsigned p,
+                             std::uint64_t dense_prefix_count,
+                             std::uint64_t covered_addresses) {
     density_row row;
     row.n = n;
     row.p = p;
-    const std::vector<dense_prefix> dense = tree.dense_prefixes_at(n, p);
-    row.dense_prefix_count = dense.size();
-    for (const dense_prefix& d : dense) row.covered_addresses += d.observed;
+    row.dense_prefix_count = dense_prefix_count;
+    row.covered_addresses = covered_addresses;
     row.possible_addresses =
         static_cast<long double>(row.dense_prefix_count) *
         std::ldexp(1.0L, static_cast<int>(128 - p));
@@ -23,6 +24,13 @@ density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsig
                                     row.possible_addresses
                               : 0.0L;
     return row;
+}
+
+density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p) {
+    const std::vector<dense_prefix> dense = tree.dense_prefixes_at(n, p);
+    std::uint64_t covered = 0;
+    for (const dense_prefix& d : dense) covered += d.observed;
+    return make_density_row(n, p, dense.size(), covered);
 }
 
 std::vector<density_row> compute_density_table(

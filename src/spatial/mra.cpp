@@ -34,35 +34,26 @@ std::vector<double> mra_series::ratios(unsigned k) const {
     return out;
 }
 
-namespace {
-
-mra_series from_split_histogram(const std::array<std::uint64_t, 129>& splits_below,
-                                bool empty) {
-    // splits_below[p] = number of covering-set splits at depths < p;
-    // n_p = 1 + splits_below[p] for a non-empty set.
+mra_series mra_series::from_cpl_histogram(const std::array<std::uint64_t, 129>& hist,
+                                          bool empty) noexcept {
+    // Adjacent distinct addresses sharing cpl bits fall into the same /p
+    // prefix iff p <= cpl; every pair with cpl < p splits one more /p
+    // aggregate off. (A trie's split depths form the same histogram.)
     std::array<std::uint64_t, 129> counts{};
-    if (!empty)
-        for (unsigned p = 0; p <= 128; ++p) counts[p] = 1 + splits_below[p];
+    if (empty) return mra_series{counts};
+    std::uint64_t below = 0;
+    for (unsigned p = 0; p <= 128; ++p) {
+        counts[p] = 1 + below;
+        if (p < 128) below += hist[p];
+    }
     return mra_series{counts};
 }
 
-}  // namespace
-
 mra_series compute_mra_sorted(const std::vector<address>& sorted_unique) {
-    // Adjacent distinct addresses a_i, a_{i+1} share cpl bits: they fall
-    // into the same /p prefix iff p <= cpl. Hence the number of /p
-    // aggregates is 1 + |{i : cpl_i < p}|.
     std::array<std::uint64_t, 129> hist{};  // hist[c] = pairs with cpl == c
     for (std::size_t i = 0; i + 1 < sorted_unique.size(); ++i)
         ++hist[sorted_unique[i].common_prefix_length(sorted_unique[i + 1])];
-
-    std::array<std::uint64_t, 129> below{};
-    std::uint64_t running = 0;
-    for (unsigned p = 0; p <= 128; ++p) {
-        below[p] = running;
-        if (p < 128) running += hist[p];
-    }
-    return from_split_histogram(below, sorted_unique.empty());
+    return mra_series::from_cpl_histogram(hist, sorted_unique.empty());
 }
 
 mra_series compute_mra(std::vector<address> addrs) {
@@ -87,27 +78,14 @@ mra_series compute_mra(std::vector<address> addrs) {
         simd::common_prefix_len_batch(a, b, cpl.data());
         for (const std::uint8_t c : cpl) ++hist[c];
     }
-
-    std::array<std::uint64_t, 129> below{};
-    std::uint64_t running = 0;
-    for (unsigned p = 0; p <= 128; ++p) {
-        below[p] = running;
-        if (p < 128) running += hist[p];
-    }
-    return from_split_histogram(below, n == 0);
+    return mra_series::from_cpl_histogram(hist, n == 0);
 }
 
 mra_series compute_mra_from_trie(const radix_tree& tree) {
     const obs::trace_scope span("mra_from_trie", mra_phase_histogram());
     std::array<std::uint64_t, 129> hist{};
     tree.visit_splits([&](unsigned len) { ++hist[len]; });
-    std::array<std::uint64_t, 129> below{};
-    std::uint64_t running = 0;
-    for (unsigned p = 0; p <= 128; ++p) {
-        below[p] = running;
-        if (p < 128) running += hist[p];
-    }
-    return from_split_histogram(below, tree.empty());
+    return mra_series::from_cpl_histogram(hist, tree.empty());
 }
 
 }  // namespace v6

@@ -77,31 +77,28 @@ void stream_engine::init_metrics() {
     m_.report_build = reg.get_histogram(
         "v6_stream_report_build_seconds", obs::latency_buckets(), {},
         "Time to recompute a day report (overlaps next-day ingest).");
-    m_.arena_live = reg.get_gauge(
-        "v6_trie_arena_live_nodes", {},
-        "Live node slots in the merged trie's arena at the last seal.");
-    m_.arena_free = reg.get_gauge(
-        "v6_trie_arena_free_slots", {},
-        "Free-listed node slots in the merged trie's arena at the last "
-        "seal.");
 }
 
 void stream_engine::init_live() {
     // Domain-level (classification) series live in the v6class_*
     // namespace, infrastructure series in v6_stream_* — see DESIGN.md
-    // "Observability". Each gets a ring history and a drift detector.
+    // "Observability". Each gets a ring history; classification series
+    // also get a drift detector, timing series (detect = false) do not.
     obs::registry& reg = *metrics_;
     drift_events_ = reg.get_counter(
         "v6class_drift_events_total", {},
         "Drift alarms raised over the live derived series.");
     const auto add = [&](std::string name, const std::string& metric,
-                         std::string help, obs::label_list labels = {}) {
+                         std::string help, obs::label_list labels = {},
+                         bool detect = true) {
         // The tsdb label is the first label's value ("" when unlabeled)
         // — enough to tell the dense-class series apart.
         std::string label = labels.empty() ? std::string{} : labels[0].second;
+        std::optional<obs::ewma_detector> detector;
+        if (detect) detector.emplace(cfg_.drift);
         live_.emplace_back(std::move(name), help,
                            reg.get_dgauge(metric, std::move(labels), help),
-                           cfg_.history, cfg_.drift);
+                           cfg_.history, std::move(detector));
         live_.back().metric = metric;
         live_.back().label = std::move(label);
         return live_.size() - 1;
@@ -142,21 +139,21 @@ void stream_engine::init_live() {
         add("day_64s_est", "v6class_day_distinct_64s_estimate",
             "HLL estimate of the sealed day's distinct /64 prefixes.");
     }
-    // Infrastructure introspection surfaced as sparklines: how busy the
-    // work pool's seats were between seals and how large the merged
-    // trie's arena has grown.
+    // Infrastructure introspection surfaced as a sparkline: how busy
+    // the work pool's seats were between seals. A wall-clock timing
+    // series, so it gets no drift detector.
     li_pool_util_ = add("pool util", "v6_par_pool_utilization",
                         "v6::par pool seat utilization between this seal "
-                        "and the previous one (0..1).");
-    li_arena_nodes_ = add("arena nodes", "v6_trie_arena_nodes",
-                          "Live node slots in the merged trie's arena.");
+                        "and the previous one (0..1).",
+                        {}, /*detect=*/false);
     // Per-interval ingest IPC rides the same machinery, but only where
     // a hardware PMU exists — a permanently-zero series would just
     // waste a dashboard tile and tsdb space on software-only boxes.
     if (obs::pmu::available().hardware())
         li_pmu_ipc_ = add("ingest ipc", "v6class_pmu_ingest_ipc",
                           "Instructions per cycle inside shard.ingest_batch "
-                          "scopes between this seal and the previous one.");
+                          "scopes between this seal and the previous one.",
+                          {}, /*detect=*/false);
 
     // Flight-recorder re-anchor: intern every live series in the store
     // and read back its newest stored day, so re-sealing already-stored
@@ -185,7 +182,9 @@ void stream_engine::init_live() {
 }
 
 stream_engine::stream_engine(stream_config cfg)
-    : cfg_(std::move(cfg)), projected_store_(cfg_.projected_length) {
+    : cfg_(std::move(cfg)),
+      projected_store_(cfg_.projected_length),
+      summary_(cfg_.density_classes) {
     if (cfg_.shards == 0) cfg_.shards = 1;
     if (cfg_.batch_size == 0) cfg_.batch_size = 1;
     init_metrics();
@@ -469,6 +468,19 @@ void stream_engine::roll_loop() {
                 active.insert(active.end(), day_set.begin(), day_set.end());
             }
             projected_store_.record_day(day, active);
+            {
+                // The shards partition /128, so their first-seen lists
+                // are disjoint; merging the sorted lists yields the
+                // day's sorted fresh set for the lifetime summary.
+                obs::span fold_span("summary_fold", obs::span_kind::merge);
+                std::vector<address> fresh;
+                for (const auto& s : shards_) {
+                    const auto mid = static_cast<std::ptrdiff_t>(fresh.size());
+                    fresh.insert(fresh.end(), s->fresh().begin(), s->fresh().end());
+                    std::inplace_merge(fresh.begin(), fresh.begin() + mid, fresh.end());
+                }
+                summary_.fold(fresh);
+            }
             if (cfg_.sketches) last_estimates_ = merge_day_sketches();
             sealed_day_ = day;
             std::size_t distinct = 0;
@@ -530,11 +542,7 @@ void stream_engine::roll_loop() {
                 pmu_last_instr_ = ins;
             }
         }
-        if (cfg_.metrics) {
-            m_.arena_live.set(static_cast<std::int64_t>(report.arena_nodes));
-            m_.arena_free.set(static_cast<std::int64_t>(report.arena_free));
-            obs::update_process_gauges(*metrics_);
-        }
+        if (cfg_.metrics) obs::update_process_gauges(*metrics_);
         update_live(report);
         {
             std::lock_guard lock(reports_mutex_);
@@ -570,14 +578,10 @@ day_report stream_engine::build_report(int day) const {
     }
     report.distinct_projected = projected_store_.distinct_count();
     report.active = report.stable + report.not_stable;
-    const radix_tree merged = merged_tree_locked();
-    const radix_tree::arena_stats arena = merged.arena();
-    report.arena_nodes = arena.live;
-    report.arena_free = arena.free_list;
-    report.density = compute_density_table(merged, cfg_.density_classes);
-    // The live derived series: MRA ratios around the /64 boundary from
-    // the same merged trie the density table used.
-    const mra_series mra = compute_mra_from_trie(merged);
+    report.density = summary_.density_table(cfg_.density_classes);
+    // The live derived series: MRA ratios around the /64 boundary, off
+    // the same lifetime summary the density rows come from.
+    const mra_series mra = summary_.mra();
     report.gamma1 = mra.ratio(64, 1);
     report.gamma4 = mra.ratio(60, 4);
     report.gamma16 = mra.ratio(48, 16);
@@ -640,7 +644,8 @@ void stream_engine::update_live(const day_report& report) {
         live_series& s = live_[idx];
         s.history.push(v);
         s.gauge.set(v);
-        const std::optional<obs::ewma_detector::alarm> a = s.detector.update(v);
+        if (!s.detector) return;
+        const std::optional<obs::ewma_detector::alarm> a = s.detector->update(v);
         s.alarmed = a.has_value();
         if (a) {
             drift_events_.inc();
@@ -672,7 +677,6 @@ void stream_engine::update_live(const day_report& report) {
         feed(li_est_first_ + 2, report.est_day_64s);
     }
     feed(li_pool_util_, report.pool_utilization);
-    feed(li_arena_nodes_, static_cast<double>(report.arena_nodes));
     if (li_pmu_ipc_ != SIZE_MAX) feed(li_pmu_ipc_, report.ingest_ipc);
 
     if (cfg_.alerts || cfg_.tsdb || cfg_.federate) {
@@ -788,23 +792,6 @@ int stream_engine::sealed_day() const {
     return sealed_day_;
 }
 
-radix_tree stream_engine::merged_tree_locked() const {
-    // The shards partition the /128 space by address hash, so their
-    // distinct sets concatenate without overlap: collect, sort once, and
-    // bulk-build the merged trie bottom-up instead of re-inserting node
-    // by node.
-    obs::span span("merge_tree", obs::span_kind::merge);
-    std::vector<address> addrs;
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s->distinct_addresses();
-    addrs.reserve(total);
-    for (const auto& s : shards_) s->collect_addresses(addrs);
-    std::sort(addrs.begin(), addrs.end());
-    radix_tree merged;
-    merged.bulk_build(addrs);
-    return merged;
-}
-
 stream_snapshot stream_engine::snapshot() const {
     stream_snapshot out;
     {
@@ -824,7 +811,7 @@ stream_snapshot stream_engine::snapshot() const {
     }
     out.distinct_projected = projected_store_.distinct_count();
     out.spectrum = std::move(merged_spectrum);
-    out.density = compute_density_table(merged_tree_locked(), cfg_.density_classes);
+    out.density = summary_.density_table(cfg_.density_classes);
     return out;
 }
 
@@ -863,18 +850,18 @@ std::vector<std::uint64_t> stream_engine::stability_spectrum(unsigned max_n) con
 std::vector<density_row> stream_engine::density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const {
     std::shared_lock state(state_mutex_);
-    return compute_density_table(merged_tree_locked(), classes);
+    return summary_.density_table(classes);
 }
 
 std::vector<address> stream_engine::distinct_addresses() const {
     std::shared_lock state(state_mutex_);
-    std::vector<address> out;
-    for (const auto& s : shards_) s->collect_addresses(out);
-    std::sort(out.begin(), out.end());
-    return out;
+    return summary_.addresses();
 }
 
-mra_series stream_engine::mra() const { return compute_mra(distinct_addresses()); }
+mra_series stream_engine::mra() const {
+    std::shared_lock state(state_mutex_);
+    return summary_.mra();
+}
 
 std::vector<day_report> stream_engine::reports() const {
     std::lock_guard lock(reports_mutex_);

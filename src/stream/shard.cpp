@@ -7,6 +7,7 @@ namespace v6 {
 void stream_shard::seal_day(int day) {
     hits_ += pending_hits_;
     pending_hits_ = 0;
+    fresh_.clear();
     if (pending_.empty()) return;  // a day with no records for this shard
 
     // Sort + dedupe on the SoA lanes (radix-partitioned on the hi word);
@@ -16,11 +17,11 @@ void stream_shard::seal_day(int day) {
     block.assign(pending_);
     simd::sort_unique_block(block);
 
-    // First-ever sightings go into the distinct-address trie; the /128
-    // store's lifetime map is the dedup authority.
+    // First-ever sightings, in block (address) order; the /128 store's
+    // lifetime map is the dedup authority.
     for (std::size_t i = 0; i < block.size(); ++i) {
         const address a = block.at(i);
-        if (store128_.days_seen(a) == 0) tree_.add(a);
+        if (store128_.days_seen(a) == 0) fresh_.push_back(a);
     }
 
     store128_.record_day(day, block);
@@ -28,15 +29,6 @@ void stream_shard::seal_day(int day) {
     block.append_to(pending_);
     series_.set_day(day, std::move(pending_));
     pending_ = {};
-}
-
-void stream_shard::merge_tree_into(radix_tree& out) const {
-    tree_.visit([&](const prefix& p, std::uint64_t count) { out.add(p, count); });
-}
-
-void stream_shard::collect_addresses(std::vector<address>& out) const {
-    tree_.visit(
-        [&](const prefix& p, std::uint64_t) { out.push_back(p.base()); });
 }
 
 }  // namespace v6

@@ -229,5 +229,45 @@ TEST(Collector, EnrichmentReloadUnderIngestDropsNothing) {
     EXPECT_EQ(ledger.unmatched(), 0u);
 }
 
+// A consumer that drains each day's ASN rows as soon as the day's report
+// returns (v6stream --listen drains on a short timer) must find every
+// row: the datagram whose first next-day record seals a day also
+// carries that day's last rows, and the ledger must hold them before
+// the seal can complete.
+TEST(Collector, LedgerHoldsEveryRowOfADayWhenItsReportReturns) {
+    constexpr int kDays = 40;
+    constexpr unsigned kDayRecords = 300;
+    constexpr std::size_t kDatagram = 256;  // straddles most day boundaries
+    stream_config cfg = small_config();
+    cfg.batch_size = 16;
+    cfg.queue_capacity = 1;
+    stream_engine engine(cfg);
+    net::asn_ledger ledger;
+
+    std::vector<std::uint64_t> drained(kDays, 0);
+    std::thread drainer([&] {
+        for (int k = 0; k < kDays; ++k) {
+            if (!engine.wait_for_report(kFirstDay + k)) return;
+            for (const net::asn_row& row : ledger.take_day(kFirstDay + k))
+                drained[k] += row.records;
+        }
+    });
+    simd::record_block block(kDatagram);
+    for (int k = 0; k < kDays; ++k)
+        for (unsigned i = 0; i < kDayRecords; ++i) {
+            block.push_back(0x20010db800000000ull + (i % 64), mix64(k * kDayRecords + i),
+                            kFirstDay + k, 1);
+            if (block.size() == kDatagram) {
+                net::ingest_block(engine, block, nullptr, &ledger);
+                block.clear();
+            }
+        }
+    if (!block.empty()) net::ingest_block(engine, block, nullptr, &ledger);
+    engine.finish();
+    drainer.join();
+    for (int k = 0; k < kDays; ++k)
+        EXPECT_EQ(drained[k], kDayRecords) << "day " << kFirstDay + k;
+}
+
 }  // namespace
 }  // namespace v6

@@ -2,7 +2,9 @@
 // the streaming engine must reproduce the batch pipeline's answers
 // *exactly* — same stability split, same lifetime spectrum, same Table-3
 // density rows, same distinct set, same MRA counts — for any shard
-// count (including the unsharded engine).
+// count (including the unsharded engine). The spatial answers are
+// checked at every epoch (each day report against the batch state
+// through its day), not only at the end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,9 @@ constexpr std::uint64_t kSeed = 20150317;
 
 const std::vector<std::pair<std::uint64_t, unsigned>> kClasses = {
     {2, 112}, {8, 64}, {2, 48}};
+// Not configured in the engine: answered by the sweep path.
+const std::vector<std::pair<std::uint64_t, unsigned>> kSweptClasses = {
+    {4, 120}, {1, 64}};
 
 // A pool with real spatial structure: 64 /64 networks, 16 /112 blocks
 // each, so the density classes and MRA ratios have something to find.
@@ -51,6 +56,13 @@ std::vector<stream_record> make_feed() {
     return feed;
 }
 
+// The batch spatial answers over the distinct set of days up to one
+// epoch: density rows from an add()-built trie, MRA from the sorted set.
+struct epoch_answers {
+    std::vector<density_row> density;
+    mra_series mra{{}};
+};
+
 // The reference pipeline: the batch substrate fed whole days at a time.
 struct batch_state {
     daily_series series;
@@ -58,6 +70,7 @@ struct batch_state {
     observation_store store64{64};
     radix_tree tree;
     std::vector<address> distinct;
+    std::vector<epoch_answers> epochs;  // [day - kFirstDay]
 
     explicit batch_state(const std::vector<stream_record>& feed) {
         std::vector<address> all;
@@ -69,13 +82,31 @@ struct batch_state {
             store128.record_day(day, active);
             store64.record_day(day, active);
             all.insert(all.end(), active.begin(), active.end());
+            std::sort(all.begin(), all.end());
+            all.erase(std::unique(all.begin(), all.end()), all.end());
+            radix_tree at_day;
+            for (const address& a : all) at_day.add(a);
+            epochs.push_back({compute_density_table(at_day, kClasses),
+                              compute_mra_sorted(all)});
         }
-        std::sort(all.begin(), all.end());
-        all.erase(std::unique(all.begin(), all.end()), all.end());
         distinct = std::move(all);
         for (const address& a : distinct) tree.add(a);
     }
 };
+
+void expect_same_rows(const std::vector<density_row>& got,
+                      const std::vector<density_row>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(std::to_string(want[i].n) + "@/" + std::to_string(want[i].p));
+        EXPECT_EQ(got[i].n, want[i].n);
+        EXPECT_EQ(got[i].p, want[i].p);
+        EXPECT_EQ(got[i].dense_prefix_count, want[i].dense_prefix_count);
+        EXPECT_EQ(got[i].covered_addresses, want[i].covered_addresses);
+        EXPECT_EQ(got[i].possible_addresses, want[i].possible_addresses);
+        EXPECT_EQ(got[i].address_density, want[i].address_density);
+    }
+}
 
 class StreamDifferential : public ::testing::TestWithParam<unsigned> {};
 
@@ -116,19 +147,13 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     // Lifetime spectrum.
     EXPECT_EQ(engine.stability_spectrum(14), batch.store128.stability_spectrum(14));
 
-    // Table-3 density rows, every field.
-    const std::vector<density_row> want_rows =
-        compute_density_table(batch.tree, kClasses);
-    const std::vector<density_row> got_rows = engine.density_table(kClasses);
-    ASSERT_EQ(got_rows.size(), want_rows.size());
-    for (std::size_t i = 0; i < want_rows.size(); ++i) {
-        EXPECT_EQ(got_rows[i].n, want_rows[i].n);
-        EXPECT_EQ(got_rows[i].p, want_rows[i].p);
-        EXPECT_EQ(got_rows[i].dense_prefix_count, want_rows[i].dense_prefix_count);
-        EXPECT_EQ(got_rows[i].covered_addresses, want_rows[i].covered_addresses);
-        EXPECT_EQ(got_rows[i].possible_addresses, want_rows[i].possible_addresses);
-        EXPECT_EQ(got_rows[i].address_density, want_rows[i].address_density);
-    }
+    // Table-3 density rows, every field: the configured classes (read
+    // off the folded summary) and classes the engine was not configured
+    // with (one sweep of the lifetime set).
+    expect_same_rows(engine.density_table(kClasses),
+                     compute_density_table(batch.tree, kClasses));
+    expect_same_rows(engine.density_table(kSweptClasses),
+                     compute_density_table(batch.tree, kSweptClasses));
 
     // MRA aggregate counts at every prefix length.
     const mra_series want_mra = compute_mra_sorted(batch.distinct);
@@ -136,16 +161,24 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     for (unsigned p = 0; p <= 128; ++p)
         EXPECT_EQ(got_mra.aggregate_count(p), want_mra.aggregate_count(p)) << p;
 
-    // The day reports produced along the way agree with batch counts.
+    // The day reports produced along the way agree with the batch state
+    // through their day: stable counts, density rows and MRA ratios.
     const auto reports = engine.reports();
     ASSERT_EQ(reports.size(),
               static_cast<std::size_t>(kLastDay - kFirstDay + 1));
     for (const day_report& rep : reports) {
+        SCOPED_TRACE("day " + std::to_string(rep.day));
         EXPECT_EQ(rep.ref_day, rep.day - cfg.window.window_fwd);
         const stability_split want = an.classify_day(rep.ref_day, cfg.stability_n);
-        EXPECT_EQ(rep.stable, want.stable.size()) << "day=" << rep.day;
-        EXPECT_EQ(rep.not_stable, want.not_stable.size()) << "day=" << rep.day;
+        EXPECT_EQ(rep.stable, want.stable.size());
+        EXPECT_EQ(rep.not_stable, want.not_stable.size());
         EXPECT_EQ(rep.active, want.stable.size() + want.not_stable.size());
+        const epoch_answers& at = batch.epochs.at(
+            static_cast<std::size_t>(rep.day - kFirstDay));
+        expect_same_rows(rep.density, at.density);
+        EXPECT_EQ(rep.gamma1, at.mra.ratio(64, 1));
+        EXPECT_EQ(rep.gamma4, at.mra.ratio(60, 4));
+        EXPECT_EQ(rep.gamma16, at.mra.ratio(48, 16));
     }
 
     // And the final snapshot is the whole-feed summary.
@@ -153,6 +186,7 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     EXPECT_EQ(snap.epoch, kLastDay);
     EXPECT_EQ(snap.distinct_addresses, batch.distinct.size());
     EXPECT_EQ(snap.spectrum, batch.store128.stability_spectrum(cfg.spectrum_max));
+    expect_same_rows(snap.density, batch.epochs.back().density);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamDifferential,

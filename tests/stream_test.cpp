@@ -597,6 +597,42 @@ TEST(StreamLiveTest, SteadyFeedRaisesNoDriftEvents) {
     EXPECT_EQ(events.total(), 0u);
 }
 
+// Wall-clock timing series (pool utilization, ingest IPC) move with
+// scheduling, not addressing practice: they keep their history but feed
+// no drift detector, so even a hair-trigger detector raises alarms over
+// classification series only.
+TEST(StreamLiveTest, OnlyClassificationSeriesCanAlarm) {
+    obs::event_log events;
+    stream_config cfg = live_config(2);
+    cfg.events = &events;
+    cfg.drift.z_threshold = 0;  // any change at all would alarm
+    cfg.drift.min_samples = 1;
+    cfg.drift.rel_sigma = 0;
+    stream_engine engine(cfg);
+    constexpr int kDays = 12;
+    for (int day = 1; day <= kDays; ++day)
+        for (unsigned i = 0; i < 60; ++i) engine.push(day, nth(i));
+    engine.finish();
+
+    const live_view view = engine.live();
+    const auto timing = [](const std::string& name) {
+        return name == "pool util" || name == "ingest ipc";
+    };
+    const live_series_view* util = find_series(view, "pool util");
+    ASSERT_NE(util, nullptr);
+    EXPECT_EQ(util->history.size(), static_cast<std::size_t>(kDays));
+    for (const live_series_view& s : view.series)
+        if (timing(s.name)) {
+            EXPECT_FALSE(s.alarmed) << s.name;
+        }
+    for (const obs::event& e : events.recent(1000))
+        for (const auto& [k, v] : e.fields)
+            if (k == "series") {
+                EXPECT_NE(v, "\"pool util\"");
+                EXPECT_NE(v, "\"ingest ipc\"");
+            }
+}
+
 TEST(StreamLiveTest, DayReportCarriesDerivedSeries) {
     stream_engine engine(live_config(2));
     for (int day = 1; day <= 2; ++day)
