@@ -109,7 +109,7 @@ BENCHMARK(BM_stream_ingest_trace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 
 // Arg(0): 1 = pmu_scope deltas collected, 0 = off. The identical
 // 1M-record ingest with the tracer quiet, so the pair isolates the
-// counter-scope cost on shard.ingest_batch/shard.seal/par.task. The
+// counter-scope cost on shard.ingest_batch/shard.prepare_seal/par.task. The
 // acceptance bar (scripts/check.sh): /1 within 5% of /0. Where no PMU
 // is exposed the scopes no-op and the pair measures the same code.
 void BM_stream_ingest_pmu(benchmark::State& state) {

@@ -235,7 +235,8 @@ public:
     std::size_t size() const;
 
     /// The process-wide registry: library phase timers and every tool's
-    /// --metrics-out dump go here.
+    /// --metrics-out dump go here. Never destroyed, so threads still
+    /// running during static destruction can keep updating it.
     static registry& global();
 
 private:

@@ -16,11 +16,13 @@
 //            more dense prefix, `after` more covered addresses); a block
 //            already dense just adds its new addresses to the coverage.
 //
-// A fold therefore costs a merge of the run plus O(k log N) for k fresh
-// addresses, and queries of the configured classes and of the MRA counts
-// cost O(1) in the lifetime size. The answers are the same as the
-// trie-backed compute_density_table / compute_mra_from_trie over the
-// same set.
+// A fold therefore costs a merge of the run plus, per folded class,
+// O(k log b) for k fresh addresses in /p blocks of up to b addresses
+// (each block's extent is found by galloping out from where its fresh
+// addresses landed, not by a search of the whole run). Queries of the
+// configured classes and of the MRA counts cost O(1) in the lifetime
+// size. The answers are the same as the trie-backed
+// compute_density_table / compute_mra_from_trie over the same set.
 #pragma once
 
 #include <array>
@@ -42,9 +44,12 @@ public:
     /// still answered by density_table(), with one sweep of the run.
     explicit spatial_summary(std::vector<density_class> classes = {});
 
-    /// Merges `fresh` into the lifetime set. Precondition: `fresh` is
-    /// sorted, unique and disjoint from addresses().
-    void fold(const std::vector<address>& fresh);
+    /// Merges the fresh addresses of `parts` into the lifetime set, as
+    /// if their union had been folded. Precondition: every part is
+    /// sorted and unique, and the parts are disjoint from each other and
+    /// from addresses() (the stream engine passes one first-seen list
+    /// per shard; shards partition the address space).
+    void fold(const std::vector<const std::vector<address>*>& parts);
 
     /// The lifetime distinct set, sorted.
     const std::vector<address>& addresses() const noexcept { return run_; }

@@ -6,11 +6,15 @@
 // per shard; a worker thread per shard drains its queue and stages the
 // open day's records. When the pusher observes a day boundary it
 // broadcasts a seal marker behind the last batch of the finished day.
-// A single roll thread applies each seal across all shards behind an
-// exclusive state lock — the only writer of sealed state — advances the
-// epoch, releases the workers, and then *asynchronously* recomputes the
-// day's report (windowed nd-stable split, n@/p density table) under a
-// shared lock while ingest of the next day proceeds.
+// Each worker that reaches the marker prepares its shard's day (sort and
+// dedupe, first-seen lookup; reads only) and reports it drained. A
+// single roll thread — the only writer of sealed state — then applies
+// the prepared days behind an exclusive state lock (the shards' store
+// and series writes in parallel, then the projected store and the
+// spatial fold), advances the epoch, releases the workers, and then
+// *asynchronously* recomputes the day's report (windowed nd-stable
+// split, n@/p density table) under a shared lock while ingest of the
+// next day proceeds.
 //
 // Consistency model: "epoch" is the last day sealed across every shard.
 // Queries take the state lock in shared mode and therefore always see
@@ -19,8 +23,7 @@
 // because the shards partition the address space; prefix-density and
 // MRA answers come from one engine-level lifetime spatial summary, which
 // the roll thread folds forward with each seal's first-seen addresses
-// inside the exclusive section (cost: the day's new addresses, not the
-// lifetime set).
+// inside the exclusive section.
 #pragma once
 
 #include <condition_variable>

@@ -20,8 +20,10 @@ using day_index = int;
 class daily_series {
 public:
     /// Records the active set for `day`, replacing any previous set.
-    /// The input is sorted and deduplicated; hit counts are not retained
-    /// here (activity is a yes/no per day for stability purposes).
+    /// The input is sorted and deduplicated (input that is already
+    /// strictly ascending is kept as is, after one O(n) check); hit
+    /// counts are not retained here (activity is a yes/no per day for
+    /// stability purposes).
     void set_day(day_index day, std::vector<address> active);
 
     /// Merges `active` into the existing set for `day`.

@@ -47,6 +47,9 @@ public:
     /// Number of distinct addresses (or prefixes) ever seen.
     std::size_t distinct_count() const noexcept { return recs_.size(); }
 
+    /// True when `a` was ever recorded: one probe, no record read.
+    bool contains(const address& a) const noexcept;
+
     /// Days on which `a` was active (0 when never seen).
     unsigned days_seen(const address& a) const noexcept;
 

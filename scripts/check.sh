@@ -123,7 +123,7 @@ print("bench gate self-test ok: synthetic 0.70x IPC drop fails the gate")
 EOF
 
         # PMU scope overhead: the counter scopes on the ingest path
-        # (shard.ingest_batch / shard.seal / par.task — two group
+        # (shard.ingest_batch / shard.prepare_seal / par.task — two group
         # read(2)s each when armed) must stay within 5% of the same
         # 1M-record ingest with collection off. Same-run ratio, best of
         # a few attempts, like the federate gate below: single pairs on
@@ -518,6 +518,31 @@ EOF
         grep -q 'aggregated .* frames (0 rejected)' "${smoke}/agg.err"
         rm -rf "${smoke}"
         echo "federation smoke passed"
+
+        # Shard-count determinism: one heavy day (>=100k records) replayed
+        # at 1 and at 4 shards. The shard workers prepare their own day
+        # and the seal applies the shards in parallel; none of that may
+        # leak into the output, so the day and final JSON lines must be
+        # byte-identical.
+        echo "=== shard determinism: one 100k-record day at 1 vs 4 shards ==="
+        smoke=$(mktemp -d)
+        ./build/tools/v6synth --wire="${smoke}/day.v6w" \
+            --first=360 --last=360 --scale=0.7 --seed=11
+        for shards in 1 4; do
+            ./build/tools/v6stream --replay="${smoke}/day.v6w" \
+                --shards="${shards}" 2>/dev/null \
+                | grep -E '"type":"(day|final)"' >"${smoke}/out${shards}.json"
+        done
+        python3 - "${smoke}/out1.json" <<'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+kinds = [l["type"] for l in lines]
+assert kinds == ["day", "final"], kinds
+assert lines[-1]["records"] >= 100000, lines[-1]["records"]
+EOF
+        diff "${smoke}/out1.json" "${smoke}/out4.json"
+        rm -rf "${smoke}"
+        echo "shard determinism passed"
 
         # Replay benchmark correctness: the benchmark's own unit tests,
         # then one short replay of each workload. run.py checks every

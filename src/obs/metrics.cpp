@@ -15,8 +15,12 @@ std::vector<double> latency_buckets() {
 }
 
 registry& registry::global() {
-    static registry r;
-    return r;
+    // Intentionally leaked, like the trace and profiler registries: the
+    // v6::par pool's workers update its gauges until the pool joins them
+    // during static destruction, which can run after a function-local
+    // registry would have been torn down (a use-after-free at exit).
+    static registry* r = new registry;
+    return *r;
 }
 
 detail::series* registry::intern(const std::string& name, metric_kind kind,

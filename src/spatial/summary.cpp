@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "v6class/ip/prefix.h"
-
 namespace v6 {
 
 namespace {
@@ -27,21 +25,72 @@ struct class_count {
 // n = 0 and p > 128 select nothing, as in radix_tree::dense_prefixes_at.
 bool selects_nothing(std::uint64_t n, unsigned p) { return n == 0 || p > 128; }
 
-/// What class n@/p gains when `fresh` joins the lifetime set; `run` is
-/// the merged set, `fresh` sorted and now part of it.
+/// First index of the block holding index `q`, searching no lower than
+/// `floor`: `in(k)` holds on [first, q] and fails just below it. Gallops
+/// down from q, then bisects the last step, so the cost is the log of
+/// the distance, not of the run.
+template <typename InBlock>
+std::size_t gallop_down(std::size_t floor, std::size_t q, InBlock in) {
+    std::size_t inside = q;  // in(inside) holds
+    std::size_t step = 1;
+    while (inside - floor >= step && in(inside - step)) {
+        inside -= step;
+        step *= 2;
+    }
+    std::size_t a = inside - floor >= step ? inside - step + 1 : floor;
+    std::size_t b = inside;  // the answer lies in [a, b]
+    while (a < b) {
+        const std::size_t mid = a + (b - a) / 2;
+        if (in(mid)) b = mid;
+        else a = mid + 1;
+    }
+    return a;
+}
+
+/// One past the last index of the block holding index `q`, below `size`;
+/// the mirror of gallop_down.
+template <typename InBlock>
+std::size_t gallop_up(std::size_t q, std::size_t size, InBlock in) {
+    std::size_t inside = q;  // in(inside) holds
+    std::size_t step = 1;
+    while (step < size - inside && in(inside + step)) {
+        inside += step;
+        step *= 2;
+    }
+    std::size_t a = inside + 1;
+    std::size_t b = std::min(inside + step, size);  // the answer lies in [a, b]
+    while (a < b) {
+        const std::size_t mid = a + (b - a) / 2;
+        if (in(mid)) a = mid + 1;
+        else b = mid;
+    }
+    return a;
+}
+
+/// What class n@/p gains when the fresh addresses at positions `at`
+/// (ascending) of the merged run `run` joined the lifetime set.
 class_count fold_class(const std::vector<address>& run,
-                      const std::vector<address>& fresh, std::uint64_t n,
+                      const std::vector<std::size_t>& at, std::uint64_t n,
                       unsigned p) {
     class_count gain;
     if (selects_nothing(n, p)) return gain;
-    for (std::size_t j = 0; j < fresh.size();) {
-        const std::size_t end = block_end(fresh, j, p);
-        // The block's size after the fold, from the merged run; before
-        // it, the block held the same addresses minus this group.
-        const prefix block{fresh[j], p};
-        const auto lo = std::lower_bound(run.begin(), run.end(), block.base());
-        const auto hi = std::upper_bound(lo, run.end(), block.last_address());
-        const auto after = static_cast<std::uint64_t>(hi - lo);
+    std::size_t floor = 0;  // end of the last block counted
+    for (std::size_t j = 0; j < at.size();) {
+        // The /p block around the group's first address, found by
+        // galloping out from its position: every address of the block
+        // shares its /p prefix, and the block starts at or after the
+        // previous block's end.
+        const address& first = run[at[j]];
+        const auto in = [&](std::size_t k) {
+            return run[k].common_prefix_length(first) >= p;
+        };
+        const std::size_t lo = gallop_down(floor, at[j], in);
+        const std::size_t hi = gallop_up(at[j], run.size(), in);
+        std::size_t end = j + 1;
+        while (end < at.size() && at[end] < hi) ++end;
+        // The block's size after the fold; before it, the block held the
+        // same addresses minus this group.
+        const std::uint64_t after = hi - lo;
         const std::uint64_t added = end - j;
         const std::uint64_t before = after - added;
         if (before >= n) {
@@ -50,6 +99,7 @@ class_count fold_class(const std::vector<address>& run,
             ++gain.dense;
             gain.covered += after;
         }
+        floor = hi;
         j = end;
     }
     return gain;
@@ -77,47 +127,53 @@ spatial_summary::spatial_summary(std::vector<density_class> classes) {
     for (const auto& [n, p] : classes) classes_.push_back({n, p});
 }
 
-void spatial_summary::fold(const std::vector<address>& fresh) {
-    if (fresh.empty()) return;
-    const std::size_t old_size = run_.size();
+void spatial_summary::fold(const std::vector<const std::vector<address>*>& parts) {
+    std::size_t added = 0;
+    for (const std::vector<address>* part : parts) added += part->size();
+    if (added == 0) return;
 
-    // Neighbour pairs, against the old run: each maximal group of fresh
-    // addresses inserted at one position replaces the pair (L, R) around
-    // that position with the chain L, f1, ..., fk, R.
-    std::size_t pos = 0;
-    for (std::size_t j = 0; j < fresh.size();) {
-        pos = static_cast<std::size_t>(
-            std::lower_bound(run_.begin() + static_cast<std::ptrdiff_t>(pos),
-                             run_.end(), fresh[j]) -
-            run_.begin());
+    // Merge from the back, in place: only the tail from the first
+    // insertion point moves. Each step places the largest unmerged fresh
+    // address (the parts are disjoint, so their last addresses never
+    // tie); `at` records where every fresh address lands, ascending.
+    std::vector<std::size_t> left(parts.size());  // unmerged length per part
+    for (std::size_t k = 0; k < parts.size(); ++k) left[k] = parts[k]->size();
+    std::vector<std::size_t> at(added);
+    std::size_t i = run_.size();
+    run_.resize(run_.size() + added);
+    std::size_t w = run_.size();
+    for (std::size_t j = added; j > 0;) {
+        std::size_t top = parts.size();
+        for (std::size_t k = 0; k < parts.size(); ++k)
+            if (left[k] > 0 && (top == parts.size() ||
+                                (*parts[top])[left[top] - 1] < (*parts[k])[left[k] - 1]))
+                top = k;
+        const address& f = (*parts[top])[--left[top]];
+        while (i > 0 && f < run_[i - 1]) run_[--w] = run_[--i];
+        run_[--w] = f;
+        at[--j] = w;
+    }
+
+    // Neighbour pairs: each maximal group of fresh addresses inserted at
+    // one position replaces the pair (L, R) around it with the chain
+    // L, f1, ..., fk, R.
+    for (std::size_t j = 0; j < added;) {
         std::size_t end = j + 1;
-        while (end < fresh.size() && (pos == old_size || fresh[end] < run_[pos])) ++end;
-        const bool has_left = pos > 0;
-        const bool has_right = pos < old_size;
+        while (end < added && at[end] == at[end - 1] + 1) ++end;
+        const std::size_t first = at[j];
+        const std::size_t last = at[end - 1];
+        const bool has_left = first > 0;
+        const bool has_right = last + 1 < run_.size();
         if (has_left && has_right)
-            --cpl_hist_[run_[pos - 1].common_prefix_length(run_[pos])];
-        if (has_left) ++cpl_hist_[run_[pos - 1].common_prefix_length(fresh[j])];
-        for (std::size_t i = j; i + 1 < end; ++i)
-            ++cpl_hist_[fresh[i].common_prefix_length(fresh[i + 1])];
-        if (has_right) ++cpl_hist_[fresh[end - 1].common_prefix_length(run_[pos])];
+            --cpl_hist_[run_[first - 1].common_prefix_length(run_[last + 1])];
+        const std::size_t chain_end = has_right ? last + 1 : last;
+        for (std::size_t q = has_left ? first - 1 : first; q < chain_end; ++q)
+            ++cpl_hist_[run_[q].common_prefix_length(run_[q + 1])];
         j = end;
     }
 
-    // Merge from the back, in place: only the tail from the first
-    // insertion point moves.
-    run_.resize(old_size + fresh.size());
-    std::size_t i = old_size;
-    std::size_t j = fresh.size();
-    std::size_t w = run_.size();
-    while (j > 0) {
-        if (i > 0 && fresh[j - 1] < run_[i - 1])
-            run_[--w] = run_[--i];
-        else
-            run_[--w] = fresh[--j];
-    }
-
     for (class_state& c : classes_) {
-        const class_count gain = fold_class(run_, fresh, c.n, c.p);
+        const class_count gain = fold_class(run_, at, c.n, c.p);
         c.dense += gain.dense;
         c.covered += gain.covered;
     }

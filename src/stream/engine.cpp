@@ -412,11 +412,19 @@ void stream_engine::worker_loop(unsigned shard) {
             for (const stream_record& r : msg->batch) shards_[shard]->buffer(r);
             continue;
         }
-        // Seal marker: hand the fully-staged day to the roll thread and
-        // wait until it has been applied everywhere before touching the
-        // next day's batches. The roll_mutex_ handshake orders this
-        // worker's buffered writes before the roll thread's seal_day and
-        // the seal_day writes before this worker's next buffer().
+        // Seal marker: prepare the fully-staged day here, in parallel
+        // with the other shards, then hand it to the roll thread and wait
+        // until it has been applied everywhere before touching the next
+        // day's batches. prepare_seal only reads sealed state, which the
+        // roll thread alone writes: the roll_mutex_ handshake orders this
+        // worker's staged and prepared writes before the roll thread's
+        // apply_seal, and the apply's writes before this worker's next
+        // buffer() and prepare_seal().
+        {
+            obs::span prepare_span("shard.prepare_seal", obs::span_kind::merge);
+            obs::pmu_scope prepare_pmu("shard.prepare_seal");
+            shards_[shard]->prepare_seal();
+        }
         std::unique_lock lock(roll_mutex_);
         drained_day_[shard] = msg->day;
         roll_cv_.notify_all();
@@ -452,33 +460,28 @@ void stream_engine::roll_loop() {
             // The only writer of sealed state; readers (queries, the
             // report build below) hold the lock shared. The histogram
             // covers exactly the exclusive section: how long ingest of
-            // already-drained shards can stall behind a seal.
+            // already-drained shards can stall behind a seal. The shard
+            // workers already sorted their days and found the first
+            // sightings (prepare_seal), so only the writes remain here.
             obs::trace_scope span("seal_day", m_.seal_latency);
             std::unique_lock state(state_mutex_);
-            for (auto& s : shards_) {
-                obs::span shard_span("shard.seal");
-                obs::pmu_scope shard_pmu("shard.seal");
-                s->seal_day(day);
-            }
+            // Shard state is disjoint: the shards apply in parallel.
+            par::run_indexed(shards_.size(), [&](std::size_t i) {
+                obs::span shard_span("shard.apply_seal", obs::span_kind::merge);
+                shards_[i]->apply_seal(day);
+            });
             // The projected (/64) store is engine-level (see engine.h);
-            // feed it the day's union of freshly sealed shard sets.
-            std::vector<address> active;
-            for (const auto& s : shards_) {
-                const std::vector<address>& day_set = s->series().day(day);
-                active.insert(active.end(), day_set.begin(), day_set.end());
-            }
-            projected_store_.record_day(day, active);
+            // each shard's sorted day set feeds it in turn (recording a
+            // prefix twice in one day is idempotent).
+            for (const auto& s : shards_)
+                projected_store_.record_day(day, s->series().day(day));
             {
                 // The shards partition /128, so their first-seen lists
-                // are disjoint; merging the sorted lists yields the
-                // day's sorted fresh set for the lifetime summary.
+                // are disjoint sorted parts of the day's fresh set.
                 obs::span fold_span("summary_fold", obs::span_kind::merge);
-                std::vector<address> fresh;
-                for (const auto& s : shards_) {
-                    const auto mid = static_cast<std::ptrdiff_t>(fresh.size());
-                    fresh.insert(fresh.end(), s->fresh().begin(), s->fresh().end());
-                    std::inplace_merge(fresh.begin(), fresh.begin() + mid, fresh.end());
-                }
+                std::vector<const std::vector<address>*> fresh;
+                fresh.reserve(shards_.size());
+                for (const auto& s : shards_) fresh.push_back(&s->fresh());
                 summary_.fold(fresh);
             }
             if (cfg_.sketches) last_estimates_ = merge_day_sketches();

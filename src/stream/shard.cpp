@@ -4,31 +4,35 @@
 
 namespace v6 {
 
-void stream_shard::seal_day(int day) {
-    hits_ += pending_hits_;
-    pending_hits_ = 0;
+void stream_shard::prepare_seal() {
     fresh_.clear();
-    if (pending_.empty()) return;  // a day with no records for this shard
+    if (staged_.empty()) return;  // a day with no records for this shard
 
     // Sort + dedupe on the SoA lanes (radix-partitioned on the hi word);
     // (hi, lo) numeric order is byte-lexicographic address order, so the
-    // result is exactly std::sort + std::unique on the address vector.
-    simd::address_block block(pending_.size());
-    block.assign(pending_);
-    simd::sort_unique_block(block);
+    // result is exactly std::sort + std::unique on the addresses.
+    simd::sort_unique_block(staged_);
 
-    // First-ever sightings, in block (address) order; the /128 store's
-    // lifetime map is the dedup authority.
-    for (std::size_t i = 0; i < block.size(); ++i) {
-        const address a = block.at(i);
-        if (store128_.days_seen(a) == 0) fresh_.push_back(a);
+    // First-ever sightings, in address order; the /128 store's lifetime
+    // map is the dedup authority.
+    prepared_.reserve(staged_.size());
+    for (std::size_t i = 0; i < staged_.size(); ++i) {
+        const address a = staged_.at(i);
+        prepared_.push_back(a);
+        if (!store128_.contains(a)) fresh_.push_back(a);
     }
+    // Release the staging lanes rather than keep their capacity: a
+    // shard holds one copy of its day, not two.
+    staged_ = simd::address_block{};
+}
 
-    store128_.record_day(day, block);
-    pending_.clear();
-    block.append_to(pending_);
-    series_.set_day(day, std::move(pending_));
-    pending_ = {};
+void stream_shard::apply_seal(int day) {
+    hits_ += pending_hits_;
+    pending_hits_ = 0;
+    if (prepared_.empty()) return;
+    store128_.record_day(day, prepared_);
+    series_.set_day(day, std::move(prepared_));  // already sorted: kept as is
+    prepared_ = {};
 }
 
 }  // namespace v6

@@ -1,6 +1,7 @@
 #include "v6class/temporal/daily_series.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace v6 {
 
@@ -9,6 +10,10 @@ const std::vector<address> daily_series::empty_{};
 namespace {
 
 void sort_unique(std::vector<address>& v) {
+    // Input that is already strictly ascending (a sealed day set from the
+    // stream engine) costs one O(n) check, not a sort.
+    if (std::adjacent_find(v.begin(), v.end(), std::greater_equal<>{}) == v.end())
+        return;
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }

@@ -103,9 +103,14 @@ std::uint32_t observation_store::lookup(std::uint64_t hi,
 
 void observation_store::reserve_for(std::size_t additional) {
     const std::size_t need = recs_.size() + additional;
-    key_hi_.reserve(need);
-    key_lo_.reserve(need);
-    recs_.reserve(need);
+    if (need > recs_.capacity()) {
+        // Geometric growth: reserving exactly `need` would reallocate
+        // (and copy) the whole store on every day that adds a record.
+        const std::size_t cap = std::max(need, 2 * recs_.capacity());
+        key_hi_.reserve(cap);
+        key_lo_.reserve(cap);
+        recs_.reserve(cap);
+    }
     // Keep the probe table under 7/8 load; one rehash up front covers the
     // whole batch.
     if (index_.empty() || need * 8 >= index_.size() * 7) {
@@ -179,6 +184,12 @@ void observation_store::record_day(int day, const simd::address_block& active) {
         mask_pair(hi, lo, prefix_length_);
         record_one(day, hi, lo);
     }
+}
+
+bool observation_store::contains(const address& a) const noexcept {
+    std::uint64_t hi = a.hi(), lo = a.lo();
+    mask_pair(hi, lo, prefix_length_);
+    return lookup(hi, lo) != kEmptySlot;
 }
 
 unsigned observation_store::days_seen(const address& a) const noexcept {

@@ -47,6 +47,35 @@ TEST(ObservationStoreTest, IdempotentRecording) {
     EXPECT_EQ(store.days_seen(nth(1)), 1u);
 }
 
+// Many small days, as a long stream of seals records them: the store
+// grows a few records at a time (geometric reserves, several rehashes)
+// and must end up holding what one record_day of the same addresses
+// builds, with every address's day intact.
+TEST(ObservationStoreTest, ManySmallDaysMatchOneBulkRecord) {
+    observation_store grown;
+    std::vector<address> all;
+    for (unsigned day = 0; day < 200; ++day) {
+        const std::vector<address> fresh = {nth(3 * day), nth(3 * day + 1),
+                                            nth(3 * day + 2)};
+        grown.record_day(static_cast<int>(day), fresh);
+        all.insert(all.end(), fresh.begin(), fresh.end());
+    }
+    observation_store bulk;
+    bulk.record_day(0, all);
+    EXPECT_EQ(grown.distinct_count(), bulk.distinct_count());
+    EXPECT_EQ(grown.stable_addresses(0), bulk.stable_addresses(0));
+    for (unsigned i = 0; i < all.size(); ++i) {
+        EXPECT_TRUE(grown.contains(all[i]));
+        EXPECT_EQ(grown.days_seen(all[i]), 1u);
+        const auto fl = grown.first_last(all[i]);
+        ASSERT_TRUE(fl.has_value());
+        EXPECT_EQ(fl->first, static_cast<int>(i / 3));
+        EXPECT_EQ(fl->second, static_cast<int>(i / 3));
+    }
+    EXPECT_FALSE(grown.contains(nth(600)));
+    EXPECT_EQ(grown.stability_spectrum(3), bulk.stability_spectrum(3));
+}
+
 TEST(ObservationStoreTest, OutOfOrderDays) {
     observation_store store;
     store.record_day(20, {nth(1)});

@@ -4,15 +4,20 @@
 // flight).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "v6class/netgen/rng.h"
 #include "v6class/obs/alert.h"
 #include "v6class/obs/metrics.h"
+#include "v6class/spatial/density.h"
+#include "v6class/spatial/mra.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/engine.h"
+#include "v6class/temporal/observation_store.h"
 #include "v6class/temporal/stability.h"
 
 namespace v6 {
@@ -355,6 +360,238 @@ TEST(StreamEngineTest, ManyProducersOneEngine) {
     EXPECT_EQ(stats.records, static_cast<std::uint64_t>(kThreads) * kEach);
     EXPECT_EQ(stats.distinct_addresses, kThreads * kEach);
 }
+
+// ------------------------------------------------------------ day seals
+
+// Each shard's worker prepares its own day (sort, dedupe, first-seen
+// lookup) and the roll thread applies the prepared days across shards in
+// parallel. These cases seal large days while a second thread queries,
+// and check every answer and every day report against the batch
+// pipeline at the epoch it describes.
+
+const std::vector<std::pair<std::uint64_t, unsigned>> kSealClasses = {
+    {2, 112}, {16, 64}, {2, 48}};
+
+// Even indices fill 64 /64s, each with a dense /112 block: dense blocks
+// at every class. Odd indices scatter over 64k /64s, mostly one address
+// each, so the projected (/64) count depends on every shard's day set.
+address pool_address(unsigned i) {
+    if (i % 2 == 1)
+        return address::from_pair(0x20010db800010000ull + (mix64(i) & 0xffffu),
+                                  mix64(i + 1));
+    return address::from_pair(0x20010db800000000ull + (i / 2 % 64),
+                              (static_cast<std::uint64_t>(i / 2 % 16) << 16) |
+                                  (mix64(i) & 0xffffu));
+}
+
+bool same_rows(const std::vector<density_row>& a, const std::vector<density_row>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const density_row& x, const density_row& y) {
+                          return x.n == y.n && x.p == y.p &&
+                                 x.dense_prefix_count == y.dense_prefix_count &&
+                                 x.covered_addresses == y.covered_addresses &&
+                                 x.possible_addresses == y.possible_addresses &&
+                                 x.address_density == y.address_density;
+                      });
+}
+
+std::vector<std::uint64_t> mra_counts(const mra_series& m) {
+    std::vector<std::uint64_t> out;
+    for (unsigned p = 0; p <= 128; ++p) out.push_back(m.aggregate_count(p));
+    return out;
+}
+
+// The batch answers once a given number of days has sealed.
+struct sealed_epoch {
+    int epoch = kNoDay;
+    std::size_t distinct = 0;
+    std::size_t distinct_projected = 0;
+    std::vector<std::uint64_t> spectrum;
+    std::vector<density_row> density;
+    mra_series mra{{}};
+    stability_split split;  // classify_day(kSealRef, kSealN)
+};
+
+constexpr int kSealFirstDay = 40;
+constexpr int kSealRef = kSealFirstDay + 1;
+constexpr unsigned kSealN = 1;
+
+stream_config seal_config(unsigned shards) {
+    stream_config cfg;
+    cfg.shards = shards;
+    cfg.density_classes = kSealClasses;
+    cfg.stability_n = kSealN;
+    cfg.window.window_back = 1;
+    cfg.window.window_fwd = 1;
+    return cfg;
+}
+
+// Five days over a 60k-address pool: two large overlapping days, a day
+// only shard 0 receives records for, a day made only of addresses seen
+// before (every shard's first-seen list empty), and a large fresh day.
+std::vector<std::vector<address>> seal_days(unsigned shards) {
+    const auto range = [](unsigned from, unsigned to) {
+        std::vector<address> day;
+        for (unsigned i = from; i < to; ++i) day.push_back(pool_address(i));
+        return day;
+    };
+    std::vector<std::vector<address>> days;
+    days.push_back(range(0, 24000));
+    days.push_back(range(12000, 36000));
+    std::vector<address> one_shard;
+    for (const address& a : range(24000, 48000))
+        if (address_hash{}(a) % shards == 0) one_shard.push_back(a);
+    days.push_back(std::move(one_shard));
+    days.push_back(range(2000, 30000));  // all seen on the first two days
+    days.push_back(range(36000, 60000));
+    return days;
+}
+
+std::vector<sealed_epoch> batch_epochs(const std::vector<std::vector<address>>& days,
+                                       const stream_config& cfg) {
+    std::vector<sealed_epoch> epochs(1);  // nothing sealed yet
+    epochs[0].spectrum.assign(cfg.spectrum_max + 1, 0);
+    epochs[0].density = compute_density_table(radix_tree{}, kSealClasses);
+    epochs[0].mra = compute_mra_sorted({});
+    daily_series series;
+    observation_store store128(128), store64(cfg.projected_length);
+    std::vector<address> all;
+    for (std::size_t d = 0; d < days.size(); ++d) {
+        const int day = kSealFirstDay + static_cast<int>(d);
+        series.set_day(day, days[d]);
+        store128.record_day(day, days[d]);
+        store64.record_day(day, days[d]);
+        all.insert(all.end(), days[d].begin(), days[d].end());
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+        radix_tree tree;
+        tree.bulk_build(all);
+        sealed_epoch e;
+        e.epoch = day;
+        e.distinct = all.size();
+        e.distinct_projected = store64.distinct_count();
+        e.spectrum = store128.stability_spectrum(cfg.spectrum_max);
+        e.density = compute_density_table(tree, kSealClasses);
+        e.mra = compute_mra_sorted(all);
+        e.split = stability_analyzer(series, cfg.window).classify_day(kSealRef, kSealN);
+        epochs.push_back(std::move(e));
+    }
+    return epochs;
+}
+
+class StreamSealTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StreamSealTest, ConcurrentQueriesSeeOnlySealedEpochs) {
+    const stream_config cfg = seal_config(GetParam());
+    const std::vector<std::vector<address>> days = seal_days(cfg.shards);
+    const std::vector<sealed_epoch> epochs = batch_epochs(days, cfg);
+    stream_engine engine(cfg);
+
+    const auto at_epoch = [&](int epoch) -> const sealed_epoch* {
+        for (const sealed_epoch& e : epochs)
+            if (e.epoch == epoch) return &e;
+        return nullptr;
+    };
+    const auto any_epoch = [&](auto&& matches) {
+        return std::any_of(epochs.begin(), epochs.end(), matches);
+    };
+    std::atomic<bool> done{false};
+    std::atomic<unsigned> rounds{0};
+    std::atomic<bool> failed{false};
+    std::string failure;  // written by the reader only; read after join
+    std::thread reader([&] {
+        while (!done.load() && failure.empty()) {
+            const stream_snapshot snap = engine.snapshot();
+            const sealed_epoch* e = at_epoch(snap.epoch);
+            if (!e) {
+                failure = "snapshot of unknown epoch " + std::to_string(snap.epoch);
+            } else if (snap.distinct_addresses != e->distinct ||
+                       snap.distinct_projected != e->distinct_projected ||
+                       snap.spectrum != e->spectrum || !same_rows(snap.density, e->density)) {
+                failure = "snapshot differs from epoch " + std::to_string(e->epoch);
+            }
+            const stream_stats st = engine.stats();
+            const sealed_epoch* se = at_epoch(st.sealed_day);
+            if (!se || st.distinct_addresses != se->distinct ||
+                st.distinct_projected != se->distinct_projected)
+                failure = "stats differ from epoch " + std::to_string(st.sealed_day);
+            const stability_split split = engine.classify_day(kSealRef, kSealN);
+            if (!any_epoch([&](const sealed_epoch& x) {
+                    return x.split.stable == split.stable &&
+                           x.split.not_stable == split.not_stable;
+                }))
+                failure = "classify_day matches no sealed epoch";
+            const std::vector<density_row> rows = engine.density_table(kSealClasses);
+            if (!any_epoch([&](const sealed_epoch& x) { return same_rows(x.density, rows); }))
+                failure = "density_table matches no sealed epoch";
+            const std::vector<std::uint64_t> mra = mra_counts(engine.mra());
+            if (!any_epoch([&](const sealed_epoch& x) { return mra_counts(x.mra) == mra; }))
+                failure = "mra matches no sealed epoch";
+            if (!failure.empty()) failed.store(true);
+            rounds.fetch_add(1);
+        }
+    });
+    // One whole reader round after each seal, so every epoch is queried
+    // at least once besides the rounds that overlap the seals.
+    const auto observe = [&] {
+        const unsigned seen = rounds.load();
+        while (rounds.load() < seen + 2 && !failed.load()) std::this_thread::yield();
+    };
+    for (std::size_t d = 0; d < days.size(); ++d) {
+        const int day = kSealFirstDay + static_cast<int>(d);
+        for (const address& a : days[d]) engine.push(day, a);
+        if (d > 0) {
+            EXPECT_TRUE(engine.wait_for_report(day - 1).has_value());
+            observe();
+        }
+    }
+    engine.finish();
+    observe();
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(failure, "");
+    EXPECT_GE(rounds.load(), 2 * days.size());
+    EXPECT_EQ(engine.sealed_day(), epochs.back().epoch);
+}
+
+// Every day report, including the day one shard received nothing and the
+// day nothing was new, against the batch pipeline through its day.
+TEST_P(StreamSealTest, ReportsOfEdgeDaysMatchBatch) {
+    const stream_config cfg = seal_config(GetParam());
+    const std::vector<std::vector<address>> days = seal_days(cfg.shards);
+    const std::vector<sealed_epoch> epochs = batch_epochs(days, cfg);
+    stream_engine engine(cfg);
+    daily_series series;
+    for (std::size_t d = 0; d < days.size(); ++d) {
+        const int day = kSealFirstDay + static_cast<int>(d);
+        for (const address& a : days[d]) engine.push(day, a);
+        series.set_day(day, days[d]);
+    }
+    engine.finish();
+    const std::vector<day_report> reports = engine.reports();
+    ASSERT_EQ(reports.size(), days.size());
+    const stability_analyzer an(series, cfg.window);
+    for (std::size_t d = 0; d < days.size(); ++d) {
+        const day_report& rep = reports[d];
+        const sealed_epoch& want = epochs[d + 1];
+        SCOPED_TRACE("day " + std::to_string(rep.day));
+        EXPECT_EQ(rep.day, want.epoch);
+        const stability_split split = an.classify_day(rep.ref_day, cfg.stability_n);
+        EXPECT_EQ(rep.stable, split.stable.size());
+        EXPECT_EQ(rep.not_stable, split.not_stable.size());
+        EXPECT_EQ(rep.distinct_addresses, want.distinct);
+        EXPECT_EQ(rep.distinct_projected, want.distinct_projected);
+        EXPECT_TRUE(same_rows(rep.density, want.density));
+        EXPECT_EQ(rep.gamma1, want.mra.ratio(64, 1));
+        EXPECT_EQ(rep.gamma4, want.mra.ratio(60, 4));
+        EXPECT_EQ(rep.gamma16, want.mra.ratio(48, 16));
+    }
+    // The edge days really are edge days.
+    EXPECT_EQ(epochs[4].distinct, epochs[3].distinct);  // nothing new
+    for (const address& a : days[2]) ASSERT_EQ(address_hash{}(a) % cfg.shards, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamSealTest, ::testing::Values(2u, 4u));
 
 // ------------------------------------------------------------ metrics
 

@@ -25,6 +25,27 @@ TEST(DailySeriesTest, SetAndQuery) {
     EXPECT_TRUE(std::is_sorted(s.day(5).begin(), s.day(5).end()));
 }
 
+TEST(DailySeriesTest, SetDaySortsAndDedupesUnsortedInput) {
+    daily_series s;
+    s.set_day(1, {nth(5), nth(3), nth(5), nth(1), nth(3), nth(3)});
+    EXPECT_EQ(s.day(1), (std::vector<address>{nth(1), nth(3), nth(5)}));
+    // Ascending but not strictly: the duplicate still goes.
+    s.set_day(2, {nth(1), nth(2), nth(2), nth(4)});
+    EXPECT_EQ(s.day(2), (std::vector<address>{nth(1), nth(2), nth(4)}));
+}
+
+TEST(DailySeriesTest, SetDayKeepsSortedUniqueInput) {
+    std::vector<address> sorted;
+    for (unsigned i = 0; i < 1000; ++i) sorted.push_back(nth(2 * i));
+    daily_series s;
+    s.set_day(3, sorted);
+    EXPECT_EQ(s.day(3), sorted);
+    s.set_day(4, {nth(7)});
+    EXPECT_EQ(s.day(4), std::vector<address>{nth(7)});
+    s.set_day(5, {});
+    EXPECT_TRUE(s.day(5).empty());
+}
+
 TEST(DailySeriesTest, MergeDay) {
     daily_series s;
     s.set_day(1, {nth(1)});
